@@ -1,14 +1,15 @@
 """Unified command-line front end with engine auto-selection.
 
-Subcommands: check, oracle, sparse, diagonal, slp-eq, certificate, bench.
+Subcommands: check, oracle, sparse, diagonal, slp-eq, certificate.
 Reports are reproducible given --seed (timing aside) and machine-readable
 with --json.  Exit codes: 0 verdict produced, 2 parse/validation error,
-3 inconclusive.
+3 inconclusive (including a ball that stayed too wide at the precision cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import diagonal as diag
-from . import ffcit, kernels, numeric, oracle, slp, sparse
+from . import ffcit, numeric, oracle, slp, sparse
 from .circuit import (
     CircuitError,
     CircuitKind,
@@ -244,67 +245,7 @@ def cmd_certificate(args) -> int:
     return EXIT_OK
 
 
-def _bench_ball(impl, reps: int, bits: int) -> float:
-    x = impl.ball_make(3, 4, 1, -bits)
-    y = impl.ball_make(-7, 2, 1, -bits)
-    x = impl.ball_normalize(
-        impl.ball_make((1 << bits) + 12345, (1 << bits) // 3, 7, -bits), bits + 8
-    )
-    started = time.perf_counter()
-    acc = y
-    for _ in range(reps):
-        acc = impl.ball_mul(acc, x, bits + 8)
-        acc = impl.ball_add(acc, y, bits + 8)
-    return time.perf_counter() - started
-
-
-def _bench_poly(impl, reps: int, deg: int) -> float:
-    rng = random.Random(1)
-    a = [rng.randrange(-(1 << 30), 1 << 30) for _ in range(deg)]
-    b = [rng.randrange(-(1 << 30), 1 << 30) for _ in range(deg)]
-    started = time.perf_counter()
-    for _ in range(reps):
-        impl.poly_mul(a, b)
-    return time.perf_counter() - started
-
-
-def cmd_bench(args) -> int:
-    from . import _kernels_py
-
-    impls = {"pure": _kernels_py}
-    try:
-        from . import _kernels_cy
-
-        impls["cython"] = _kernels_cy
-    except ImportError:
-        pass
-    rows = []
-    for name, impl in impls.items():
-        rows.append(
-            {
-                "backend": name,
-                "ball_ops_s": round(_bench_ball(impl, 20000, 256), 4),
-                "poly_mul_s": round(_bench_poly(impl, 60, 128), 4),
-            }
-        )
-    if args.json:
-        print(json.dumps({"active": kernels.BACKEND, "results": rows}))
-    else:
-        print(f"active backend: {kernels.BACKEND}")
-        for r in rows:
-            print(
-                f"{r['backend']:>7}: ball chain {r['ball_ops_s']:.4f}s,"
-                f" poly_mul {r['poly_mul_s']:.4f}s"
-            )
-        if len(rows) == 2:
-            pure, cy = rows[0], rows[1]
-            print(
-                f"speedup: ball {pure['ball_ops_s'] / max(cy['ball_ops_s'], 1e-9):.2f}x,"
-                f" poly {pure['poly_mul_s'] / max(cy['poly_mul_s'], 1e-9):.2f}x"
-            )
-    return EXIT_OK
-
-
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cit",
@@ -365,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certificate)
 
-    p = sub.add_parser("bench", help="compare kernel backends")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -387,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except numeric.PrecisionExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

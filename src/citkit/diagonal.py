@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import kernels
 from .circuit import SparsePoly
 from .ffcit import Verdict
-from .numeric import BallComplex, PrecisionExhausted, render_root_sum
+from .numeric import BallComplex, refine, render_root_sum
 from .numutil import ceil_log2
 from .sparse import conjugates_equal
 
@@ -196,12 +196,9 @@ def diagonal_cit(
     # magnitude headroom: |f| <= s * M^d
     mag = ceil_log2(len(instance.powers) * max(instance.coeff_l1, 1) ** instance.max_power) + 1
     bits = -sep.log2_eps + mag + 64
-    for attempt in range(2):
-        ball = _eval_f_ball(instance, bits << attempt)
-        if ball.rad_lt_pow2(sep.log2_eps - 2):
-            break
-    else:
-        raise PrecisionExhausted("diagonal evaluation radius too large after retry")
+    ball = refine(
+        lambda b: _eval_f_ball(instance, b), bits, 2 * bits, sep.log2_eps - 2
+    )
     if ball.mid_abs_lt_pow2(sep.log2_eps - 1):
         return DiagonalResult(Verdict.ZERO, True, False)
     return DiagonalResult(Verdict.NONZERO, False, False)

@@ -1,8 +1,12 @@
 """Randomized numeric zeroness testing with rigorous ball arithmetic.
 
-A trial samples a likely Galois conjugate exponent a, evaluates the
-circuit at an enclosure of zeta_n^a in dyadic midpoint-radius arithmetic,
-and thresholds the midpoint against 2^-(4s+1).  Constants come from
+A trial samples a unit a of Z_n, so that zeta_n^a is a Galois conjugate of
+zeta_n, evaluates the circuit at an enclosure of zeta_n^a in dyadic
+midpoint-radius arithmetic, and thresholds the midpoint against 2^-(4s+1).
+A nonzero conjugate value lies above 2^-4s, so the verdict only needs a
+ball of radius below 2^-(4s+2); ``refine`` starts from a precision sized
+by the circuit and doubles it until the ball is that tight, instead of
+fixing the worst-case leaf precision in advance.  Constants come from
 rigorous series: pi via Machin's formula with alternating-tail bounds,
 roots of unity via argument halving plus the exponential Taylor series
 with an explicit tail enclosure.
@@ -30,14 +34,13 @@ from .circuit import (
     syntactic_degree,
 )
 from .ffcit import Verdict
-from .numutil import ceil_log2, primes_upto, split_rng
+from .numutil import ceil_log2, split_rng
 
 DEFAULT_TRIALS = 25
-TINY_N_LIMIT = 1 << 16
 
 
 class PrecisionExhausted(RuntimeError):
-    """Ball radius failed the target even after the doubled-precision retry."""
+    """Ball radius failed the target even at the precision cap."""
 
 
 @dataclass(frozen=True)
@@ -94,38 +97,33 @@ class BallComplex:
             return False
         return self.rad_man < (1 << shift)
 
-    def abs_le_pow2(self, t: int) -> bool | None:
-        """Whether |true value| <= 2^t; None when the ball straddles."""
-        sq = self.re_man**2 + self.im_man**2
-        m_lo = _isqrt_int(sq)  # floor |mid| in ulps
-        m_hi = m_lo + 1
-        r = self.rad_man
-        # value <= 2^t certainly if (|mid| + rad) <= 2^t
-        if _scaled_le(m_hi + r, self.exp, t):
-            return True
-        # value > 2^t certainly if (|mid| - rad) > 2^t
-        if m_lo - r >= 0 and not _scaled_le(m_lo - r, self.exp, t):
-            return False
-        return None
 
+def refine(evaluate, start_bits: int, max_bits: int, target_exp: int) -> BallComplex:
+    """The first ball ``evaluate(bits)`` returns with radius below 2^target_exp.
 
-def _isqrt_int(v: int) -> int:
-    return int(math.isqrt(int(v)))
-
-
-def _scaled_le(man: int, exp: int, t: int) -> bool:
-    """man * 2^exp <= 2^t for man >= 0."""
-    if man == 0:
-        return True
-    shift = t - exp
-    if shift < 0:
-        return False
-    return man <= (1 << shift)
+    Tries start_bits, then doubles the bits up to max_bits (the last try is
+    at max_bits exactly); raises PrecisionExhausted past it.
+    """
+    bits = min(start_bits, max_bits)
+    while True:
+        ball = evaluate(bits)
+        if ball.rad_lt_pow2(target_exp):
+            return ball
+        if bits >= max_bits:
+            raise PrecisionExhausted(
+                f"radius at least 2^{target_exp} at {bits} bits, the precision cap"
+            )
+        bits = min(2 * bits, max_bits)
 
 
 @dataclass(frozen=True)
 class PrecisionBudget:
-    """Per-leaf precision exponent and the verdict threshold exponent."""
+    """Precision cap and verdict threshold exponent of the numeric test.
+
+    eps_exponent = s^2 + 5s + 1 is the worst-case leaf precision; twice it
+    is the cap of ``eval_circuit_ball``'s refine loop, which starts far
+    lower.  threshold_exponent = 4s + 1.
+    """
 
     eps_exponent: int
     threshold_exponent: int
@@ -175,14 +173,9 @@ def approx_pi(bits: int) -> BallComplex:
     return BallComplex(val, 0, err, -work)
 
 
+@lru_cache(maxsize=64)
 def _pi_fixed(work: int) -> tuple[int, int]:
     """pi in fixed point at 2^-work with an error bound in ulps."""
-    b = _pi_fixed_cached(work)
-    return b
-
-
-@lru_cache(maxsize=64)
-def _pi_fixed_cached(work: int) -> tuple[int, int]:
     ball = approx_pi(max(1, work - 20))
     sh = -ball.exp - work
     if sh >= 0:
@@ -251,42 +244,21 @@ def root_ball_packed(n: int, ell: int, bits: int, use_cache: bool = True):
     return _compute_root_ball(n, ell % n, bits)
 
 
-@lru_cache(maxsize=256)
-def _small_prime_divisors(n: int) -> tuple[int, ...]:
-    """Prime divisors of n below 10*log2(n)."""
-    bound = int(10 * math.log2(n)) + 1
-    return tuple(p for p in _primes_cached(bound) if n % p == 0)
+def sample_conjugate_exponent(n: int, rng: random.Random) -> int:
+    """A uniform unit a of Z_n: a in [1, n) with gcd(a, n) = 1 (1 for n <= 2).
 
-
-@lru_cache(maxsize=64)
-def _primes_cached(bound: int) -> tuple[int, ...]:
-    return tuple(primes_upto(bound))
-
-
-def sample_conjugate_exponent(
-    n: int, rng: random.Random, attempts: int = 64
-) -> int | None:
-    """Sample a in [1, n) sharing no prime divisor < 10*log2(n) with n.
-
-    For n below 2^16 the sample is drawn directly from the units of Z_n
-    (gcd filter), which removes the non-conjugate error mode entirely.
+    zeta_n^a is then a Galois conjugate of zeta_n, so f(zeta_n^a) = 0 iff
+    f(zeta_n) = 0, and a trial whose ball has |mid| - rad > 0 proves
+    NonZero.  The expected number of draws is n/phi(n) = O(log log n).
     """
-    if n < 2:
-        return 1 if n == 1 else None
-    if n == 2:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n <= 2:
         return 1
-    if n < TINY_N_LIMIT:
-        for _ in range(attempts * 64):
-            a = rng.randrange(1, n)
-            if math.gcd(a, n) == 1:
-                return a
-        return None
-    small = _small_prime_divisors(n)
-    for _ in range(attempts * 64):
+    while True:
         a = rng.randrange(1, n)
-        if all(a % p for p in small):
+        if math.gcd(a, n) == 1:
             return a
-    return None
 
 
 def eval_circuit_ball(
@@ -294,9 +266,12 @@ def eval_circuit_ball(
 ) -> BallComplex:
     """Enclosure of f(zeta_n^a) with radius below 2^-(threshold_exponent+1).
 
-    Leaves are root-of-unity balls at the per-leaf precision; gate
-    arithmetic runs at the working precision (eps_exponent + 2s bits).
-    Retries once at doubled per-leaf precision before giving up.
+    Leaves are root-of-unity balls at the leaf precision; gate arithmetic
+    runs 2s bits above it.  The leaf precision starts at
+    T + log2|coefficients|_1 + log2(gates) + 24 bits (T = threshold_exponent)
+    and doubles until the radius target is met, up to twice eps_exponent
+    (enlarged when the coefficients exceed the 2^(s*d) promise), past which
+    PrecisionExhausted is raised.
     """
     s = max(budget.size, 1)
     d = syntactic_degree(circuit)
@@ -310,16 +285,15 @@ def eval_circuit_ball(
             RuntimeWarning,
         )
         eps = max(eps, llog + d + 4 * s + 4)
-    for attempt in range(2):
-        e_eff = eps << attempt
-        prec = e_eff + 2 * s
-        result = _eval_ball_once(circuit, n, a, e_eff, prec)
-        ball = BallComplex.from_packed(result)
-        if ball.rad_lt_pow2(-(budget.threshold_exponent + 1)):
-            return ball
-    raise PrecisionExhausted(
-        f"radius at least 2^-{budget.threshold_exponent + 1} after retry"
-    )
+    t = budget.threshold_exponent
+    start = t + max(llog, 0) + ceil_log2(len(circuit.gates) + 4) + 24
+
+    def evaluate(bits: int) -> BallComplex:
+        return BallComplex.from_packed(
+            _eval_ball_once(circuit, n, a, bits, bits + 2 * s)
+        )
+
+    return refine(evaluate, start, 2 * eps, -(t + 1))
 
 
 def _eval_ball_once(circuit: Circuit, n: int, a: int, leaf_bits: int, prec: int):
@@ -350,12 +324,13 @@ def _eval_ball_once(circuit: Circuit, n: int, a: int, leaf_bits: int, prec: int)
 def run_numeric_trial(
     instance: ProblemInstance, rng: random.Random, budget: PrecisionBudget | None = None
 ) -> tuple[int, BallComplex, Verdict]:
-    """One trial: (sampled exponent, final ball, trial verdict)."""
+    """One trial: (sampled exponent, final ball, trial verdict).
+
+    A NonZero trial verdict is a proof: the ball excludes 0 at a conjugate.
+    """
     if budget is None:
         budget = PrecisionBudget.for_size(instance.s)
     a = sample_conjugate_exponent(instance.n, rng)
-    if a is None:
-        raise RuntimeError("conjugate exponent sampling failed")
     ball = eval_circuit_ball(instance.circuit, instance.n, a, budget)
     verdict = (
         Verdict.ZERO

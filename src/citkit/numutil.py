@@ -29,12 +29,6 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def floor_log2(x: int) -> int:
-    if x < 1:
-        raise ValueError("floor_log2 requires x >= 1")
-    return x.bit_length() - 1
-
-
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit by sieve of Eratosthenes."""
     if limit < 2:

@@ -30,7 +30,7 @@ from .circuit import (
     coeff_l1_log2,
 )
 from .ffcit import Verdict
-from .numeric import BallComplex, PrecisionExhausted, root_ball_packed
+from .numeric import BallComplex, refine, root_ball_packed
 from .numutil import ceil_log2, split_rng
 
 DEFAULT_TRIALS = 25
@@ -344,22 +344,19 @@ def run_slp_trial(
     codes = {sym: i + 1 for i, sym in enumerate(alphabet)}
     n = params.n
     a = rng.randrange(1, n, 2)
-    for attempt in range(2):
-        bits = params.leaf_bits << attempt
+
+    def evaluate(bits: int) -> BallComplex:
         prec = bits + 64
         omega = root_ball_packed(n, a, bits, use_cache=False)
         v1, _ = _eval_word_ball(g1, codes, omega, prec)
         v2, _ = _eval_word_ball(g2, codes, omega, prec)
-        ball = BallComplex.from_packed(
+        return BallComplex.from_packed(
             kernels.ball_add(v1, kernels.ball_scale_int(v2, -1, prec), prec)
         )
-        if ball.rad_lt_pow2(-(params.threshold_exponent + 1)):
-            return (
-                Verdict.ZERO
-                if ball.mid_abs_lt_pow2(-params.threshold_exponent)
-                else Verdict.NONZERO
-            )
-    raise PrecisionExhausted("word-difference radius too large after retry")
+
+    t = params.threshold_exponent
+    ball = refine(evaluate, params.leaf_bits, 2 * params.leaf_bits, -(t + 1))
+    return Verdict.ZERO if ball.mid_abs_lt_pow2(-t) else Verdict.NONZERO
 
 
 def slp_equal(

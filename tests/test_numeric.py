@@ -5,13 +5,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from citkit import oracle
+from citkit import numeric, oracle
 from citkit.circuit import (
     Circuit,
+    CircuitKind,
     InputGate,
+    ProductGate,
     SparsePoly,
     SumGate,
     circuit_from_sparse,
+    classify,
 )
 from citkit.ffcit import Verdict
 from citkit.numeric import (
@@ -21,13 +24,14 @@ from citkit.numeric import (
     approx_root_of_unity,
     cit_numeric,
     eval_circuit_ball,
+    refine,
     render_root_sum,
     run_numeric_trial,
     sample_conjugate_exponent,
 )
 from citkit.numutil import split_rng
 
-from conftest import instance, phi_circuit, sparse_of_dense
+from conftest import build_circuit_corpus, instance, phi_circuit, sparse_of_dense
 
 
 def _atan_frac(invx: int, terms: int) -> tuple[Fraction, Fraction]:
@@ -201,3 +205,91 @@ def test_single_trial_error_rate(fixture_suite):
                 errors += 1
     assert total >= 400
     assert errors / total <= 0.45
+
+
+def test_sample_conjugate_units_for_large_n():
+    """Above 2^16 too, every sample is a unit of Z_n."""
+    for n in (9699690, 2**17 * 3 * 5, 999983 * 2):
+        rng = random.Random(n)
+        for _ in range(200):
+            assert math.gcd(sample_conjugate_exponent(n, rng), n) == 1
+
+
+def _recording_leaf_bits(monkeypatch) -> list:
+    bits: list = []
+    inner = numeric._eval_ball_once
+
+    def recorder(circuit, n, a, leaf_bits, prec):
+        bits.append(leaf_bits)
+        return inner(circuit, n, a, leaf_bits, prec)
+
+    monkeypatch.setattr(numeric, "_eval_ball_once", recorder)
+    return bits
+
+
+def test_coset_zero_meets_target_far_below_worst_case(monkeypatch):
+    """x^e (1 + x^10 + x^20) at n = 30 with a 46-bit e: one evaluation, at
+    a small fraction of the s^2 + 5s + 1 worst-case leaf precision."""
+    e = 30 * 2**40 + 7
+    circ = circuit_from_sparse(SparsePoly.from_terms([(1, e), (1, e + 10), (1, e + 20)]))
+    inst = instance(circ, 30)
+    budget = PrecisionBudget.for_size(inst.s)
+    bits = _recording_leaf_bits(monkeypatch)
+    ball = eval_circuit_ball(circ, 30, 7, budget)
+    assert ball.rad_lt_pow2(-(budget.threshold_exponent + 1))
+    assert ball.mid_abs_lt_pow2(-budget.threshold_exponent)
+    assert len(bits) == 1
+    assert bits[0] < budget.eps_exponent // 8
+
+
+def _power_circuit(base: int, k: int) -> Circuit:
+    """(base + x)^k as k products of one sum gate."""
+    gates = [InputGate(0), InputGate(1), SumGate(((base, 0), (1, 1)))]
+    gates.append(ProductGate((2,) * k))
+    return Circuit(tuple(gates), 3)
+
+
+def test_growing_products_double_and_still_enclose(monkeypatch):
+    """|(5 + x)^6| is about 2^14, so 8 leaf bits leave a radius far above
+    the target and refine must double; every final ball encloses the exact
+    conjugate value.  eval_circuit_ball itself starts above the growth
+    (its start counts log2 of the coefficient mass) and needs one try."""
+    n, circ = 7, _power_circuit(5, 6)
+    inst = instance(circ, n)
+    budget = PrecisionBudget.for_size(inst.s)
+    target = -(budget.threshold_exponent + 1)
+    s = inst.s
+    bits = _recording_leaf_bits(monkeypatch)
+    for a, exact in oracle.all_conjugate_values(circ, n).items():
+        bits.clear()
+        ball = refine(
+            lambda b: BallComplex.from_packed(numeric._eval_ball_once(circ, n, a, b, b + 2 * s)),
+            8,
+            2 * budget.eps_exponent,
+            target,
+        )
+        assert len(bits) >= 3 and bits[0] == 8 and bits[1] == 16
+        assert ball.rad_lt_pow2(target)
+        fine = render_root_sum(n, [(c, k) for k, c in enumerate(exact.coeffs)], 4 * (-target))
+        dre = ball.mid_re - fine.mid_re
+        dim = ball.mid_im - fine.mid_im
+        assert dre * dre + dim * dim <= (ball.radius + fine.radius) ** 2
+        bits.clear()
+        eval_circuit_ball(circ, n, a, budget)
+        assert len(bits) == 1
+
+
+def test_refine_raises_at_cap():
+    with pytest.raises(numeric.PrecisionExhausted):
+        refine(lambda b: BallComplex(0, 0, 1, 0), 8, 64, -10)
+
+
+def test_numeric_verdicts_match_oracle_on_corpus():
+    checked = 0
+    for idx, (inst, is_zero) in enumerate(build_circuit_corpus(60, seed=31)):
+        if classify(inst.circuit).kind is CircuitKind.GENERAL:
+            continue
+        verdict = cit_numeric(inst, random.Random(idx))
+        assert (verdict is Verdict.ZERO) == is_zero
+        checked += 1
+    assert checked >= 30

@@ -109,9 +109,10 @@ def test_word_polynomial_degree_and_codes():
         wp = to_word_polynomial(g)
         sp = to_sparse(wp.circuit)
         assert max(k for _, k in sp.terms) < wp.length
-        codes = set(dict(to_word_polynomial(g).circuit and []) or []) or None
         alphabet = g.symbols()
         assert {c for c, _ in sp.terms} <= set(range(1, len(alphabet) + 1))
+        code = {sym: i + 1 for i, sym in enumerate(alphabet)}
+        assert sp.terms == tuple((code[ch], i) for i, ch in enumerate(word))
 
 
 def test_terminal_constant_circuit():
