@@ -29,6 +29,8 @@ from .numutil import (
 
 MR_ROUNDS = 64
 DEFAULT_TRIALS = 15
+# make_certificate gives up after factoring p - 1 for this many primes p
+CERTIFICATE_MAX_PRIMES = 256
 
 
 class Verdict(enum.Enum):
@@ -213,16 +215,19 @@ def make_certificate(
 
     Scans primes p = 1 (mod n) with fully factorable p-1, finds a verified
     generator h, and accepts when the circuit is nonzero at h^((p-1)/n).
-    Returns None when the search budget runs out (in particular whenever
-    the value is actually zero).
+    Returns None when the search budget runs out: p passes p_cap, or p - 1
+    has been factored for CERTIFICATE_MAX_PRIMES primes (in particular
+    whenever the value is actually zero).
     """
     rng = rng or random.Random(7)
     n = instance.n
     if p_cap is None:
         p_cap = max(1 << 20, 64 * n * n)
     p = 1 + n if n > 1 else 2
-    while p <= p_cap:
+    factored = 0
+    while p <= p_cap and factored < CERTIFICATE_MAX_PRIMES:
         if is_prime_det(p):
+            factored += 1
             try:
                 fac = factorize(p - 1, rng, rho_budget)
             except RuntimeError:

@@ -2,10 +2,16 @@
 
 Works entirely with the s-dimensional space of vanishing coefficient
 vectors {a : sum a_i zeta_n^{k_i} = 0}.  The order n is split into primes
-at most s and a residual with only larger prime factors; each factor's
-vanishing space has an explicit combinatorial description, and the full
-space is recovered by composing orthogonal complements under the
-coordinatewise (Hadamard) product.  All linear algebra is exact over Q.
+at most s and a residual with only larger prime factors.  The orthogonal
+complement of each factor's vanishing space is the row space of explicit
+0/+-1 constraint rows on the s coordinates; the complement of the full
+space is the coordinatewise (Hadamard) product of these row spaces, and one
+orthogonal complement at the end gives the vanishing space itself.
+
+Every vector involved is integral, so the linear algebra is fraction-free
+Gauss-Jordan elimination over the integers: rows are combined by
+cross-multiplying with the pivots divided by their gcd, and each new row is
+divided by its content.
 """
 
 from __future__ import annotations
@@ -21,14 +27,19 @@ from .numutil import primes_upto
 
 @dataclass(frozen=True)
 class RationalSubspace:
-    """Subspace of Q^s held as a reduced-row-echelon basis (canonical)."""
+    """Subspace of Q^s held by its canonical integer basis.
+
+    The basis is the reduced row echelon form with each row scaled to a
+    primitive integer vector whose pivot is positive, so two subspaces are
+    equal exactly when their bases are.
+    """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "RationalSubspace":
-        rows = [[Fraction(x) for x in v] for v in vectors]
+        rows = [list(v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
@@ -40,23 +51,21 @@ class RationalSubspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "RationalSubspace":
-        eye = [
-            [Fraction(int(i == j)) for j in range(ambient_dim)]
-            for i in range(ambient_dim)
-        ]
-        return cls(ambient_dim, tuple(tuple(r) for r in eye))
+        eye = (
+            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
+        )
+        return cls(ambient_dim, tuple(eye))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector) -> bool:
-        v = [Fraction(x) for x in vector]
+        v = _integer_row(vector)
         for row in self.basis:
             pc = _pivot(row)
             if v[pc]:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
+                v = _eliminate(v, row, pc)
         return not any(v)
 
 
@@ -81,49 +90,58 @@ def _pivot(row) -> int:
     raise ValueError("zero row in basis")
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    rows = [list(r) for r in rows]
-    lead = 0
-    for col in range(ncols):
-        best = None
-        for r in range(lead, len(rows)):
-            x = rows[r][col]
-            if x and (best is None or abs(x.numerator) > abs(rows[best][col].numerator)):
-                best = r
-        if best is None:
+def _integer_row(v) -> list[int]:
+    """v scaled by a positive integer that clears its denominators."""
+    v = list(v)
+    if set(map(type, v)) <= {int}:
+        return v
+    q = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in q))
+    return [int(x * den) for x in q]
+
+
+def _eliminate(w: list[int], row, pc: int) -> list[int]:
+    """w with column pc cleared by the row whose pivot (> 0) sits there.
+
+    Cross-multiplies by the pivot and w[pc] over their gcd, so w keeps the
+    sign of its other entries, then divides by the content.
+    """
+    d, x = row[pc], w[pc]
+    g = math.gcd(d, x)
+    a, b = d // g, x // g
+    out = [a * u - b * t for u, t in zip(w, row)]
+    c = math.gcd(*out)
+    return [u // c for u in out] if c > 1 else out
+
+
+def _rref(rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical integer basis of the row span, by fraction-free Gauss-Jordan.
+
+    Rows are inserted one at a time: each is reduced by the pivot rows so
+    far, made primitive with a positive pivot, and then cleared from the
+    column of its pivot in every earlier row.  Rational entries are scaled
+    to integers once, on entry.
+    """
+    pivots: dict[int, list[int]] = {}
+    for v in rows:
+        if not any(v):
             continue
-        rows[lead], rows[best] = rows[best], rows[lead]
-        pv = rows[lead][col]
-        rows[lead] = [x / pv for x in rows[lead]]
-        for r in range(len(rows)):
-            if r != lead and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
-        lead += 1
-        if lead == len(rows):
+        v = _integer_row(v)
+        for pc, row in pivots.items():
+            if v[pc]:
+                v = _eliminate(v, row, pc)
+        if not any(v):
+            continue
+        pc = _pivot(v)
+        c = math.gcd(*v) if v[pc] > 0 else -math.gcd(*v)
+        v = [x // c for x in v]
+        for q, row in list(pivots.items()):
+            if row[pc]:
+                pivots[q] = _eliminate(row, v, pc)
+        pivots[pc] = v
+        if len(pivots) == len(v):
             break
-    return tuple(tuple(r) for r in rows[:lead])
-
-
-def _kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    R = _rref([list(map(Fraction, r)) for r in rows])
-    pivots: dict[int, int] = {}
-    for ri, row in enumerate(R):
-        pivots[_pivot(row)] = ri
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for pc, ri in pivots.items():
-            v[pc] = -R[ri][free]
-        basis.append(v)
-    return basis
+    return tuple(tuple(pivots[pc]) for pc in sorted(pivots))
 
 
 def partial_factor(n: int, s: int) -> PartialFactorization:
@@ -157,68 +175,79 @@ def collapse_map(k, modulus: int):
     return k_prime, tuple(tuple(row) for row in T)
 
 
-def _compose(constraints, T):
-    """Rows of A @ T over the integers."""
-    return [
-        [sum(arow[i] * T[i][j] for i in range(len(T))) for j in range(len(T[0]))]
-        for arow in constraints
-    ]
+def _prime_power_rows(k, p: int, e: int) -> list[list[int]]:
+    """0/+-1 rows spanning the orthogonal complement of the p^e vanishing space.
+
+    A vector vanishes at zeta_{p^e} exactly when, on the residues mod p^e,
+    its class sums agree within each class mod p^{e-1} and are zero on
+    classes with fewer than p residues.  Each row is one such condition,
+    written on the original coordinates.
+    """
+    modulus = p**e
+    classes: dict[int, dict[int, list[int]]] = {}
+    for j, kj in enumerate(k):
+        r = kj % modulus
+        classes.setdefault(r % (modulus // p), {}).setdefault(r, []).append(j)
+    rows = []
+    for residues in classes.values():
+        groups = list(residues.values())
+        if len(groups) < p:
+            pairs = [(g, ()) for g in groups]
+        else:
+            pairs = [(groups[0], g) for g in groups[1:]]
+        for plus, minus in pairs:
+            row = [0] * len(k)
+            for j in plus:
+                row[j] = 1
+            for j in minus:
+                row[j] = -1
+            rows.append(row)
+    return rows
 
 
 def vanish_space_prime_power(k, p: int, e: int) -> RationalSubspace:
-    """Vanishing space of (zeta_{p^e}^{k_i}) as a subspace of Q^len(k).
-
-    On the distinct residues mod p^e, coordinates agree within each class
-    mod p^{e-1} and vanish on classes with fewer than p members; the space
-    on the original coordinates is the preimage under the collapse map.
-    """
-    s = len(k)
-    modulus = p**e
-    k_prime, T = collapse_map(k, modulus)
-    t = len(k_prime)
-    classes: dict[int, list[int]] = {}
-    for i, r in enumerate(k_prime):
-        classes.setdefault(r % (modulus // p), []).append(i)
-    constraints: list[list[int]] = []
-    for members in classes.values():
-        if len(members) < p:
-            for i in members:
-                row = [0] * t
-                row[i] = 1
-                constraints.append(row)
-        else:
-            head = members[0]
-            for i in members[1:]:
-                row = [0] * t
-                row[head] = 1
-                row[i] = -1
-                constraints.append(row)
-    if not constraints:
-        return RationalSubspace.full(s)
-    return RationalSubspace.from_vectors(s, _kernel(_compose(constraints, T), s))
+    """Vanishing space of (zeta_{p^e}^{k_i}) as a subspace of Q^len(k)."""
+    rows = _prime_power_rows(k, p, e)
+    return orth_complement(RationalSubspace.from_vectors(len(k), rows))
 
 
 def vanish_space_residual(k, m: int) -> RationalSubspace:
     """Vanishing space for modulus m, all of whose prime factors exceed len(k).
 
-    Coordinates congruent mod m must sum to zero (kernel of the collapse
-    map); raises if the precondition on m's factors fails.
+    Coordinates congruent mod m must sum to zero, so the complement is the
+    row space of the collapse map; raises if the precondition on m's
+    factors fails.
     """
-    s = len(k)
-    for p in primes_upto(s):
+    for p in primes_upto(len(k)):
         if m % p == 0:
             raise ValueError(f"residual has small prime factor {p}")
     _, T = collapse_map(k, m)
-    return RationalSubspace.from_vectors(s, _kernel([list(r) for r in T], s))
+    return orth_complement(RationalSubspace.from_vectors(len(k), T))
 
 
 def orth_complement(space: RationalSubspace) -> RationalSubspace:
-    """Exact orthogonal complement; dims add up to the ambient dimension."""
+    """Exact orthogonal complement; dims add up to the ambient dimension.
+
+    Each non-pivot column f of the canonical basis gives one kernel vector:
+    L at f and -row[f] * L / row[pc] at each pivot pc, where L is the lcm of
+    the pivots it needs.
+    """
+    s = space.ambient_dim
     if space.dim == 0:
-        return RationalSubspace.full(space.ambient_dim)
-    return RationalSubspace.from_vectors(
-        space.ambient_dim, _kernel([list(r) for r in space.basis], space.ambient_dim)
-    )
+        return RationalSubspace.full(s)
+    pivots = {_pivot(row): row for row in space.basis}
+    vectors = []
+    for free in range(s):
+        if free in pivots:
+            continue
+        used = [(pc, row) for pc, row in pivots.items() if row[free]]
+        lcm = math.lcm(*(row[pc] for pc, row in used))
+        v = [0] * s
+        v[free] = lcm
+        for pc, row in used:
+            v[pc] = -row[free] * (lcm // row[pc])
+        vectors.append(v)
+    return RationalSubspace.from_vectors(s, vectors)
 
 
 def hadamard_product(u: RationalSubspace, v: RationalSubspace) -> RationalSubspace:
@@ -236,9 +265,10 @@ def hadamard_product(u: RationalSubspace, v: RationalSubspace) -> RationalSubspa
 def vanish_space(n: int, k) -> RationalSubspace:
     """The space {a in Q^s : sum a_i zeta_n^{k_i} = 0}.
 
-    Composes the prime-power and residual spaces through orthogonal
-    complements and Hadamard products; exponents must be strictly
-    increasing within [0, n).
+    Its complement is the Hadamard product of the factors' complements,
+    each the row space of its constraint rows, so a single orthogonal
+    complement finishes; exponents must be strictly increasing within
+    [0, n).
     """
     k = tuple(k)
     s = len(k)
@@ -247,11 +277,11 @@ def vanish_space(n: int, k) -> RationalSubspace:
     if any(not 0 <= ki < n for ki in k) or any(a >= b for a, b in zip(k, k[1:])):
         raise ValueError("exponents must be strictly increasing in [0, n)")
     pf = partial_factor(n, s)
-    comps = [vanish_space_prime_power(k, p, e) for p, e in pf.small]
-    comps.append(vanish_space_residual(k, pf.residual))
-    prod = orth_complement(comps[0])
-    for c in comps[1:]:
-        prod = hadamard_product(prod, orth_complement(c))
+    rows = [_prime_power_rows(k, p, e) for p, e in pf.small]
+    rows.append(collapse_map(k, pf.residual)[1])
+    prod = RationalSubspace.from_vectors(s, rows[0])
+    for r in rows[1:]:
+        prod = hadamard_product(prod, RationalSubspace.from_vectors(s, r))
     return orth_complement(prod)
 
 

@@ -151,6 +151,26 @@ def test_certificate_fails_on_true_zero():
     assert make_certificate(inst, random.Random(1), p_cap=5000) is None
 
 
+def test_certificate_search_is_bounded_on_zero(monkeypatch):
+    """x^1009 - 1 vanishes, so no certificate exists; the search stops after
+    CERTIFICATE_MAX_PRIMES factorisations instead of scanning to 64 n^2."""
+    from citkit import ffcit
+    from citkit.circuit import circuit_from_sparse, SparsePoly
+
+    calls = []
+    real = ffcit.factorize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ffcit, "factorize", counting)
+    n = 1009
+    inst = instance(circuit_from_sparse(SparsePoly(((1, n), (-1, 0)))), n)
+    assert make_certificate(inst, random.Random(1)) is None
+    assert 0 < len(calls) <= ffcit.CERTIFICATE_MAX_PRIMES
+
+
 def test_certificate_constant_one():
     from citkit.circuit import Circuit, InputGate, SumGate
 

@@ -151,6 +151,39 @@ def test_resultant_against_sylvester():
         assert resultant(f, g) == _sylvester_resultant(f, g)
 
 
+def test_resultant_worked_case_root_product():
+    """res(5x - 1, 5x^3 - 4x^2 - 3x - 1) = 5^3 g(1/5) = -215.
+
+    Coefficient lists run from the constant term up.  sympy 1.14 gives +215
+    for both argument orders, which cannot both hold, since
+    res(f, g) = (-1)^(deg f deg g) res(g, f); the Sylvester determinant and
+    the root-product formula agree with citkit."""
+    f, g = [-1, 5], [-1, -3, -4, 5]
+    root = Fraction(1, 5)
+    g_at_root = sum(Fraction(c) * root**i for i, c in enumerate(g))
+    assert 5**3 * g_at_root == -215
+    assert resultant(f, g) == -215 == _sylvester_resultant(f, g)
+    assert resultant(g, f) == 215 == _sylvester_resultant(g, f)
+
+
+def test_resultant_antisymmetry_odd_degrees():
+    """Swapping two odd-degree arguments flips the sign, including the
+    deg f < deg g path that swaps them internally."""
+    rng = random.Random(13)
+    checked = 0
+    while checked < 60:
+        df = rng.choice((1, 3, 5))
+        dg = rng.choice((3, 5, 7))
+        if df >= dg:
+            continue
+        f = [rng.randrange(-5, 6) for _ in range(df)] + [rng.choice((-3, -1, 1, 2, 5))]
+        g = [rng.randrange(-5, 6) for _ in range(dg)] + [rng.choice((-4, -1, 1, 3))]
+        res = resultant(f, g)
+        assert res == -resultant(g, f)
+        assert res == _sylvester_resultant(f, g)
+        checked += 1
+
+
 def test_all_conjugates():
     vals = all_conjugate_values(phi_circuit(12), 12)
     assert set(vals) == {1, 5, 7, 11}

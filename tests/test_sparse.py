@@ -121,15 +121,110 @@ def test_vanish_space_dim_complement():
         assert v.dim + orth_complement(v).dim == len(k)
 
 
+def _reference_rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Textbook Gauss-Jordan over Fraction, pivots scaled to 1; the reference
+    the integer elimination in citkit.sparse is checked against."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    rows = [[Fraction(x) for x in r] for r in rows]
+    lead = 0
+    for col in range(ncols):
+        best = None
+        for r in range(lead, len(rows)):
+            x = rows[r][col]
+            if x and (best is None or abs(x.numerator) > abs(rows[best][col].numerator)):
+                best = r
+        if best is None:
+            continue
+        rows[lead], rows[best] = rows[best], rows[lead]
+        pv = rows[lead][col]
+        rows[lead] = [x / pv for x in rows[lead]]
+        for r in range(len(rows)):
+            if r != lead and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
+        lead += 1
+        if lead == len(rows):
+            break
+    return tuple(tuple(r) for r in rows[:lead])
+
+
+def _lead(row) -> int:
+    return next(i for i, x in enumerate(row) if x)
+
+
+def _reference_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x : M x = 0} read off the reference RREF."""
+    R = _reference_rref(rows)
+    pivots = {_lead(row): row for row in R}
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for pc, row in pivots.items():
+            v[pc] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _in_reference_span(v, R) -> bool:
+    v = [Fraction(x) for x in v]
+    for row in R:
+        f = v[_lead(row)]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 def _oracle_kernel(n: int, k: tuple[int, ...]) -> RationalSubspace:
     """Independent kernel: embed each zeta_n^{k_i} in the power basis and
-    solve the rational linear system directly."""
+    solve the rational linear system with the reference elimination."""
     cols = [oracle.root_power(n, ki, cap=256).coeffs for ki in k]
     rows = [[Fraction(cols[j][i]) for j in range(len(k))] for i in range(len(cols[0]))]
-    # solve rows @ a = 0 by elimination
-    from citkit.sparse import _kernel
+    return RationalSubspace.from_vectors(len(k), _reference_kernel(rows, len(k)))
 
-    return RationalSubspace.from_vectors(len(k), _kernel(rows, len(k)))
+
+def _random_matrix(rng: random.Random) -> tuple[int, list[list[int]]]:
+    """Integer or 0/+-1 rows, often rank-deficient, sometimes with zero rows."""
+    ncols = rng.randrange(1, 9)
+    entries = (-1, 0, 0, 1) if rng.random() < 0.5 else range(-6, 7)
+    rows = [
+        [rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randrange(0, 7))
+    ]
+    for _ in range(rng.randrange(0, 3)):
+        if len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            x, y = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            rows.append([x * p + y * q for p, q in zip(a, b)])
+    if rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    rng.shuffle(rows)
+    return ncols, rows
+
+
+def test_from_vectors_matches_reference_rref():
+    rng = random.Random(41)
+    deficient = 0
+    for _ in range(300):
+        ncols, rows = _random_matrix(rng)
+        got = RationalSubspace.from_vectors(ncols, rows)
+        ref = _reference_rref(rows)
+        deficient += len(ref) < len(rows)
+        assert got.dim == len(ref)
+        # mutual containment
+        assert all(_in_reference_span(row, ref) for row in got.basis)
+        assert all(got.contains(row) for row in ref)
+        # the integer basis is the reference RREF, rows made primitive with
+        # a positive pivot
+        for g, r in zip(got.basis, ref):
+            pc = _lead(g)
+            assert all(type(x) is int for x in g)
+            assert g[pc] > 0 and math.gcd(*g) == 1
+            assert [Fraction(x, g[pc]) for x in g] == list(r)
+    assert deficient > 100
 
 
 def test_kernel_correctness_random():
@@ -211,3 +306,24 @@ def test_conjugates_equal_matches_oracle():
         base = oracle.eval_circuit_exact(c, n)
         expected = oracle.conjugate(base, l) == oracle.conjugate(base, j)
         assert conjugates_equal(g, n, l, j) == expected
+
+
+def test_large_coset_sum_verdicts_by_construction():
+    """s ~ 160 at n = 30030 = 2*3*5*7*11*13: a sum of p-cosets
+    {a + j n/p}, each with one coefficient, vanishes; one more term c x^k on
+    an unused exponent makes it nonzero."""
+    n = 30030
+    rng = random.Random(160)
+    acc: dict[int, int] = {}
+    while len(acc) < 160:
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        a, c = rng.randrange(n // p), rng.choice((-3, -2, -1, 1, 2, 3))
+        for j in range(p):
+            acc[a + j * (n // p)] = acc.get(a + j * (n // p), 0) + c
+    f = SparsePoly.from_terms((c, k) for k, c in acc.items())
+    assert len(f.terms) >= 150
+    assert sparse_cit(f, n) is Verdict.ZERO
+    k = rng.choice([k for k in range(n) if k not in acc])
+    g = SparsePoly.from_terms(list(f.terms) + [(rng.choice((-1, 1, 5)), k)])
+    assert len(g.terms) == len(f.terms) + 1
+    assert sparse_cit(g, n) is Verdict.NONZERO
